@@ -9,13 +9,13 @@ import org.apache.spark.sql.functions._
 
 /** The distributed-dataflow rendition of the paper's pipeline (no direct
   * paper table; recorded in EXPERIMENTS.md): Algorithm-5 rounds as Spark
-  * aggregations over growing scramble prefixes, measuring how much data
-  * the CI-driven early stop needs vs. the full relation.
+  * aggregations of the slices that grow the scramble prefix, measuring how
+  * much data the CI-driven early stop needs vs. the full relation.
   */
 class SparkOptStopBench extends SparkSpec {
 
   test("Spark optional stopping: F-q2-style HAVING over the scramble") {
-    val sf      = math.min(BenchConfig.sf, 0.1) // Spark-side rounds re-read prefixes
+    val sf      = math.min(BenchConfig.sf, 0.1) // one Spark job per round; keep runs short
     val flights = FlightsData.df(spark, sf).cache()
     val total   = flights.count()
     val scr     = SparkScramble.scramble(flights, seed = 33L).cache()
@@ -39,7 +39,7 @@ class SparkOptStopBench extends SparkSpec {
     println("== Spark-native optional stopping (distributed Algorithm 5) ==")
     println(f"rows total=$total%d  prefix needed=${res.finalPrefix}%d " +
       f"(${100.0 * res.finalPrefix / total}%.1f%%)  rounds=${res.rounds}%d " +
-      f"rows read incl. re-reads=${res.totalRowsRead}%d")
+      f"rows read=${res.totalRowsRead}%d")
     println(f"wall: optstop=${approxMs}%.0f ms  exact groupBy=${exactMs}%.0f ms")
     res.groups.sortBy(_.key.head).foreach { g =>
       println(f"  ${g.key.head}%-4s m=${g.m}%8d  mean=${g.mean}%7.2f  " +

@@ -17,10 +17,15 @@ import repro.core.{Bounders, MomentState}
   * cross-group context); [[CiAvgAggregator]] additionally evaluates a
   * fixed-parameter bounder inside the aggregation for the SQL-facing
   * `ci_avg_*` functions.
+  *
+  * Both take a boxed input so that they see SQL NULLs, and skip them as
+  * SQL AVG does (a primitive `Double` input would read NULL as 0.0 and
+  * bias the state).
   */
-final class MomentAggregator extends Aggregator[Double, MomentState, MomentState] {
+final class MomentAggregator extends Aggregator[java.lang.Double, MomentState, MomentState] {
   override def zero: MomentState = MomentState.empty
-  override def reduce(b: MomentState, v: Double): MomentState = MomentState.update(b, v)
+  override def reduce(b: MomentState, v: java.lang.Double): MomentState =
+    CiAggregates.reduceSkippingNull(b, v)
   override def merge(b1: MomentState, b2: MomentState): MomentState = MomentState.merge(b1, b2)
   override def finish(r: MomentState): MomentState = r
   override def bufferEncoder: Encoder[MomentState] = Encoders.product[MomentState]
@@ -35,12 +40,13 @@ final case class CiRow(mean: Double, lo: Double, hi: Double, m: Long)
   */
 final class CiAvgAggregator(
     bounderName: String, a: Double, b: Double, n: Long, delta: Double)
-  extends Aggregator[Double, MomentState, CiRow] {
+  extends Aggregator[java.lang.Double, MomentState, CiRow] {
 
   @transient private lazy val bounder = Bounders.byName(bounderName)
 
   override def zero: MomentState = MomentState.empty
-  override def reduce(s: MomentState, v: Double): MomentState = MomentState.update(s, v)
+  override def reduce(s: MomentState, v: java.lang.Double): MomentState =
+    CiAggregates.reduceSkippingNull(s, v)
   override def merge(b1: MomentState, b2: MomentState): MomentState = MomentState.merge(b1, b2)
 
   override def finish(s: MomentState): CiRow = {
@@ -54,11 +60,20 @@ final class CiAvgAggregator(
 
 object CiAggregates {
 
+  /** `update_state` with SQL AVG's null handling: a NULL leaves `s` as is. */
+  private[spark] def reduceSkippingNull(s: MomentState, v: java.lang.Double): MomentState =
+    if (v eq null) s else MomentState.update(s, v)
+
   /** The untyped UDAF view of [[MomentAggregator]], usable with
     * `df.groupBy(...).agg(...)`.
     */
   def momentUdaf: org.apache.spark.sql.expressions.UserDefinedFunction =
-    functions.udaf(new MomentAggregator, Encoders.scalaDouble)
+    functions.udaf(new MomentAggregator, Encoders.DOUBLE)
+
+  /** The untyped UDAF view of [[CiAvgAggregator]]. */
+  def ciAvgUdaf(bounderName: String, a: Double, b: Double, n: Long, delta: Double)
+      : org.apache.spark.sql.expressions.UserDefinedFunction =
+    functions.udaf(new CiAvgAggregator(bounderName, a, b, n, delta), Encoders.DOUBLE)
 
   /** Register `ci_moments` plus one `ci_avg_<bounder>` function per
     * Table-5 bounder into the session's function registry, making the
@@ -73,8 +88,7 @@ object CiAggregates {
     spark.udf.register("ci_moments", momentUdaf)
     Bounders.all.foreach { bd =>
       val fname = "ci_avg_" + bd.name.toLowerCase.replace("+", "_")
-      spark.udf.register(fname,
-        functions.udaf(new CiAvgAggregator(bd.name, a, b, n, delta), Encoders.scalaDouble))
+      spark.udf.register(fname, ciAvgUdaf(bd.name, a, b, n, delta))
     }
   }
 }

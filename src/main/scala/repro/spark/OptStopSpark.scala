@@ -7,28 +7,46 @@ import repro.fastframe.{GroupBounds, StopCondition}
 
 import scala.collection.mutable
 
-/** One group's outcome from [[OptStopSpark.run]]. */
+/** One group's outcome from [[OptStopSpark.run]]: `state` holds the
+  * moments of the group's non-null values in the final prefix.
+  */
 final case class SparkGroupCi(
-    key: Seq[String], m: Long, mean: Double, iv: Interval, exact: Boolean)
+    key: Seq[String], state: MomentState, iv: Interval, exact: Boolean) {
+  def m: Long      = state.m
+  def mean: Double = state.mean
+}
+
+/** One round of [[OptStopSpark.run]]: it aggregated the scramble slice
+  * `lo <= scramble_pos < hi`, and `values` is the number of non-null
+  * values that slice contributed (Σ m over its group states).
+  */
+final case class SparkRound(lo: Long, hi: Long, values: Long)
 
 /** Outcome of an optional-stopping Spark run. `finalPrefix` is the data
-  * the answer needed (the paper's early-termination metric);
-  * `totalRowsRead` additionally counts the re-reads of each growing
-  * prefix (our rounds re-aggregate from scratch rather than maintaining
-  * incremental state across executors).
+  * the answer needed (the paper's early-termination metric). Each round
+  * aggregates only the slice its prefix added, so `totalRowsRead`, the
+  * scramble positions fed to the rounds' aggregations, equals
+  * `finalPrefix`.
   */
 final case class OptStopSparkResult(
     groups: IndexedSeq[SparkGroupCi],
-    finalPrefix: Long,
-    totalRowsRead: Long,
-    rounds: Int)
+    perRound: IndexedSeq[SparkRound]) {
+  def finalPrefix: Long   = perRound.last.hi
+  def totalRowsRead: Long = perRound.iterator.map(s => s.hi - s.lo).sum
+  def rounds: Int         = perRound.size
+}
 
-/** The paper's Algorithm 5 rendered as distributed dataflow: each round
-  * aggregates a growing scramble prefix with the [[MomentAggregator]]
-  * (one Spark group-by over sampled partitions), then the driver computes
-  * range-trimmed per-group CIs with the round-decayed error budget
-  * δₖ = (6/π²)·δ/k², the Theorem-3 online N⁺, and the running
-  * intersection — stopping as soon as the stopping condition holds.
+/** The paper's Algorithm 5 rendered as distributed dataflow. Round k
+  * aggregates only the scramble slice [r_{k-1}, r_k) with the
+  * [[MomentAggregator]] (one Spark group-by over sampled partitions) and
+  * the driver folds each group's slice state into its running prefix state
+  * with the Chan merge, so every sampled row is read once (the paper's
+  * `update_state` carried across rounds). From the prefix states the
+  * driver computes range-trimmed per-group CIs with the round-decayed
+  * error budget δₖ = (6/π²)·δ/k², the Theorem-3 online N⁺, and the running
+  * intersection — stopping as soon as the stopping condition holds. Null
+  * values are skipped, as by SQL AVG; a group with no non-null value in
+  * the prefix has no interval.
   */
 object OptStopSpark {
 
@@ -47,49 +65,54 @@ object OptStopSpark {
       maxRounds: Int = 64): OptStopSparkResult = {
     require(numViewsUpper >= 1, "numViewsUpper must be >= 1")
     require(growth > 1.0, "growth must exceed 1")
+    require(maxRounds >= 1, "maxRounds must be >= 1")
 
     val totalRows    = scrambled.count()
     val deltaPerView = delta / numViewsUpper
+    val aggCol       = CiAggregates.momentUdaf(F.col(valueCol)).as("state")
 
     // Stable gid assignment across rounds (first-seen order).
-    val gidOf  = mutable.LinkedHashMap.empty[Seq[String], Int]
-    val best   = mutable.Map.empty[Int, Interval]
-    var latest = Map.empty[Int, (MomentState, Long)] // gid -> (state, r at last update)
+    val gidOf    = mutable.LinkedHashMap.empty[Seq[String], Int]
+    val best     = mutable.Map.empty[Int, Interval]
+    val prefixSt = mutable.Map.empty[Int, MomentState] // gid -> state over [0, r)
+    val perRound = IndexedSeq.newBuilder[SparkRound]
 
-    var r       = math.min(initialPrefix, totalRows)
-    var rounds  = 0
-    var rowsRead = 0L
-    var done    = false
+    var lo     = 0L
+    var r      = math.min(initialPrefix, totalRows)
+    var rounds = 0
+    var done   = false
 
-    while (!done && rounds < maxRounds) {
+    while (!done) {
       rounds += 1
-      rowsRead += r
-      val deltaK = OptStop.deltaAtRound(deltaPerView, rounds)
+      val deltaK    = OptStop.deltaAtRound(deltaPerView, rounds)
       val exactPass = r >= totalRows
 
-      val aggCol = CiAggregates.momentUdaf(F.col(valueCol)).as("state")
-      val prefix = SparkScramble.prefix(scrambled, r)
+      val slice = SparkScramble.slice(scrambled, lo, r)
       val grouped =
-        if (groupCols.isEmpty) prefix.agg(aggCol)
-        else prefix.groupBy(groupCols.map(F.col): _*).agg(aggCol)
+        if (groupCols.isEmpty) slice.agg(aggCol)
+        else slice.groupBy(groupCols.map(F.col): _*).agg(aggCol)
 
-      val states: Seq[(Seq[String], MomentState)] = grouped.collect().toSeq.map { row =>
-        val key = groupCols.indices.map(i => Option(row.get(i)).map(_.toString).getOrElse("∅"))
-        val st  = row.getStruct(groupCols.length)
-        (key, MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
-          st.getDouble(3), st.getDouble(4)))
+      var values = 0L
+      grouped.collect().foreach { row =>
+        val st = row.getStruct(groupCols.length)
+        val sliceSt = MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
+          st.getDouble(3), st.getDouble(4))
+        // m = 0: the group has only NULLs in this slice, or this is the one
+        // row an ungrouped aggregation returns for an empty slice.
+        if (sliceSt.m > 0) {
+          val key = groupCols.indices.map(i => Option(row.get(i)).map(_.toString).getOrElse("∅"))
+          val gid = gidOf.getOrElseUpdate(key, gidOf.size)
+          prefixSt(gid) = MomentState.merge(prefixSt.getOrElse(gid, MomentState.empty), sliceSt)
+          values += sliceSt.m
+        }
       }
+      perRound += SparkRound(lo, r, values)
 
-      latest = states.map { case (key, st) =>
-        val gid = gidOf.getOrElseUpdate(key, gidOf.size)
-        gid -> ((st, r))
-      }.toMap
-
-      val bounds: IndexedSeq[GroupBounds] = latest.toIndexedSeq.map { case (gid, (st, rr)) =>
+      val bounds: IndexedSeq[GroupBounds] = prefixSt.toIndexedSeq.sortBy(_._1).map { case (gid, st) =>
         val iv =
           if (exactPass) Interval(st.mean, st.mean)
           else {
-            val nPlus = CountBound.nUpper(st.m, rr, totalRows, deltaK, CountBound.DefaultAlpha)
+            val nPlus = CountBound.nUpper(st.m, r, totalRows, deltaK, CountBound.DefaultAlpha)
             val raw   = bounder.interval(st, a, b, nPlus, CountBound.DefaultAlpha * deltaK)
             val prev  = best.getOrElse(gid, Interval(a, b))
             val inter = prev.intersect(raw)
@@ -99,18 +122,18 @@ object OptStopSpark {
         GroupBounds(gid, st.m, st.mean, iv, exact = exactPass)
       }
 
-      done = exactPass || stop.satisfied(bounds)
-      if (!done && rounds < maxRounds) r = math.min(totalRows, math.ceil(r * growth).toLong)
+      done = exactPass || stop.satisfied(bounds) || rounds >= maxRounds
+      if (!done) {
+        lo = r
+        r = math.min(totalRows, math.ceil(r * growth).toLong)
+      }
     }
 
+    val exact    = r >= totalRows
     val keyOfGid = gidOf.map(_.swap)
-    val groups = latest.toIndexedSeq
-      .sortBy(_._1)
-      .map { case (gid, (st, rr)) =>
-        SparkGroupCi(keyOfGid(gid), st.m, st.mean,
-          best.getOrElse(gid, Interval(a, b)), exact = rr >= totalRows)
-      }
-
-    OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = rounds)
+    val groups = prefixSt.toIndexedSeq.sortBy(_._1).map { case (gid, st) =>
+      SparkGroupCi(keyOfGid(gid), st, best(gid), exact)
+    }
+    OptStopSparkResult(groups, perRound.result())
   }
 }

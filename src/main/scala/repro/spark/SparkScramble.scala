@@ -32,6 +32,13 @@ object SparkScramble {
   /** The first `r` scramble positions: a uniform without-replacement
     * sample of size min(r, |df|).
     */
-  def prefix(scrambled: DataFrame, r: Long): DataFrame =
-    scrambled.filter(col(PosCol) < r)
+  def prefix(scrambled: DataFrame, r: Long): DataFrame = slice(scrambled, 0L, r)
+
+  /** Scramble positions `lo <= scramble_pos < hi`: the rows that grow the
+    * prefix of size `lo` into the prefix of size `hi`. Positions are
+    * contiguous within each partition, so on a cached scramble the
+    * per-batch min/max statistics skip every batch outside the slice.
+    */
+  def slice(scrambled: DataFrame, lo: Long, hi: Long): DataFrame =
+    scrambled.filter(col(PosCol) >= lo && col(PosCol) < hi)
 }

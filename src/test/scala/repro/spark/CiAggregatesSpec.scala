@@ -91,12 +91,34 @@ class CiAggregatesSpec extends SparkSpec {
   test("CiAvgAggregator on a sampled fraction still covers the true mean") {
     val n      = li.count()
     val sample = SparkScramble.prefix(SparkScramble.scramble(li.select("l_quantity"), 3L), n / 10)
-    val ciCol = udaf(
-      new CiAvgAggregator(Bounders.BernsteinRT.name, 1.0, 51.0, n, 1e-10),
-      org.apache.spark.sql.Encoders.scalaDouble)
+    val ciCol  = CiAggregates.ciAvgUdaf(Bounders.BernsteinRT.name, 1.0, 51.0, n, 1e-10)
     val r      = sample.agg(ciCol(col("l_quantity"))).head.getStruct(0)
     val exact  = li.agg(avg("l_quantity")).head.getDouble(0)
     assert(r.getDouble(1) <= exact && exact <= r.getDouble(2))
+  }
+
+  test("NULL values are skipped as by SQL AVG") {
+    val df = spark.createDataFrame(Seq(
+      ("A", Some(1.0)), ("A", None), ("A", Some(3.0)), ("B", None), ("B", None)))
+      .toDF("g", "v")
+    val moments = df.groupBy("g").agg(CiAggregates.momentUdaf(col("v")).as("s")).collect()
+      .map(r => r.getString(0) -> stateFromRow(r.getStruct(1))).toMap
+    assert(moments("A") === MomentState.of(Seq(1.0, 3.0)))
+    assert(moments("B").isEmpty)
+
+    CiAggregates.register(spark, a = 0.0, b = 4.0, n = 3L, delta = 1e-3)
+    df.createOrReplaceTempView("nulls_ci")
+    val rows = spark.sql(
+      """SELECT g, ci_avg_bernstein_rt(v) AS ci, AVG(v) AS exact_avg
+        |FROM nulls_ci GROUP BY g""".stripMargin).collect()
+      .map(r => r.getString(0) -> r).toMap
+    val a = rows("A")
+    assert(a.getStruct(1).getDouble(0) === a.getDouble(2))
+    assert(a.getStruct(1).getLong(3) === 2L)
+    val bCi = rows("B").getStruct(1)
+    assert(rows("B").isNullAt(2))
+    assert(bCi.getLong(3) === 0L)
+    assert((bCi.getDouble(1), bCi.getDouble(2)) === ((0.0, 4.0)))
   }
 
   test("moment udaf of an empty relation yields the empty state") {
