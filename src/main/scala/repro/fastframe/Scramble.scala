@@ -46,9 +46,11 @@ object Scramble {
     */
   def fromStore(base: ColumnStore, blockSize: Int = DefaultBlockSize, seed: Long = 17L): Scramble = {
     val n    = base.numRows
-    val perm = Array.tabulate(n)(identity)
-    val rng  = new Random(seed)
-    var i = n - 1
+    val perm = new Array[Int](n)
+    var i = 0
+    while (i < n) { perm(i) = i; i += 1 }
+    val rng = new Random(seed)
+    i = n - 1
     while (i > 0) {
       val j = rng.nextInt(i + 1)
       val t = perm(i); perm(i) = perm(j); perm(j) = t

@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
+import scala.collection.mutable.ArrayBuilder
+
 import repro.fastframe.{CatColumn, ColumnStore, NumColumn, Scramble}
 
 /** Synthetic stand-in for the FLIGHTS dataset (paper Table 3; see
@@ -143,29 +145,69 @@ object FlightsData {
       col("DayOfWeek"))
   }
 
+  /** One partition's rows of the five store columns, in row order;
+    * `dow` already holds the 0-based DayOfWeek code.
+    */
+  private final case class Chunk(
+      origin: Array[Int], airline: Array[Int], delay: Array[Double],
+      depTime: Array[Double], dow: Array[Int])
+
+  private val StoreColumns = Seq("origin_idx", "airline_idx", "DepDelay", "DepTime", "DayOfWeek")
+  private val StoreTypes   = Seq(IntegerType, IntegerType, DoubleType, IntegerType, IntegerType)
+
   /** Collect a flights DataFrame into a FastFrame [[ColumnStore]].
     * DayOfWeek is stored categorically (it is a GROUP BY column in F-q6 /
     * F-q7); DepTime and DepDelay are numeric.
+    *
+    * Columnar hand-off: each partition reads its `InternalRow`s straight
+    * into primitive arrays, and the driver concatenates the chunks in
+    * partition order — the row order `collect()` would give, which the
+    * scramble (and so every block count) depends on. No external `Row`
+    * is built per record.
     */
   def toStore(flights: DataFrame): ColumnStore = {
-    val rows = flights
-      .select("origin_idx", "airline_idx", "DepDelay", "DepTime", "DayOfWeek")
-      .collect()
-    val n          = rows.length
+    val cols = flights.select(StoreColumns.map(col): _*)
+    require(cols.schema.map(_.dataType) == StoreTypes,
+      s"flights columns must be ${StoreTypes.mkString(", ")}; got ${cols.schema.simpleString}")
+    val chunks = cols.queryExecution.toRdd.mapPartitionsWithIndex { (part, rows) =>
+      val origin  = new ArrayBuilder.ofInt
+      val airline = new ArrayBuilder.ofInt
+      val delay   = new ArrayBuilder.ofDouble
+      val depTime = new ArrayBuilder.ofDouble
+      val dow     = new ArrayBuilder.ofInt
+      var i = 0
+      while (rows.hasNext) {
+        val r = rows.next()
+        if (r.anyNull) throw new IllegalArgumentException(s"null in flights row $i of partition $part")
+        origin.addOne(r.getInt(0))
+        airline.addOne(r.getInt(1))
+        delay.addOne(r.getDouble(2))
+        depTime.addOne(r.getInt(3).toDouble)
+        dow.addOne(r.getInt(4) - 1)
+        i += 1
+      }
+      Iterator.single(Chunk(origin.result(), airline.result(), delay.result(), depTime.result(), dow.result()))
+    }.collect()
+
+    val n          = Math.toIntExact(chunks.iterator.map(_.origin.length.toLong).sum)
     val originAr   = new Array[Int](n)
     val airlineAr  = new Array[Int](n)
     val delayAr    = new Array[Double](n)
     val deptimeAr  = new Array[Double](n)
     val dowAr      = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      originAr(i) = r.getInt(0)
-      airlineAr(i) = r.getInt(1)
-      delayAr(i) = r.getDouble(2)
-      deptimeAr(i) = r.getInt(3).toDouble
-      dowAr(i) = r.getInt(4) - 1
-      i += 1
+    var at = 0
+    var p  = 0
+    while (p < chunks.length) {
+      val c   = chunks(p)
+      val len = c.origin.length
+      System.arraycopy(c.origin, 0, originAr, at, len)
+      System.arraycopy(c.airline, 0, airlineAr, at, len)
+      System.arraycopy(c.delay, 0, delayAr, at, len)
+      System.arraycopy(c.depTime, 0, deptimeAr, at, len)
+      System.arraycopy(c.dow, 0, dowAr, at, len)
+      chunks(p) = null // let each chunk go as soon as it is copied
+      at += len
+      p += 1
     }
     new ColumnStore(
       cats = Map(

@@ -136,6 +136,21 @@ class MomentStateSpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
+  test("remove of the max at large m matches a state rebuilt without it") {
+    // 1e6 values 1e9 + U[0, 1): the downdate forms mean·m ≈ 1e15 and
+    // subtracts v ≈ 1e9. Tolerances: mean within 1e-15 relative (about 8
+    // ulps at 1e9), m2 within 1e-6 relative; a sum-of-squares downdate
+    // would miss m2 (≈ 8e4) by orders of magnitude.
+    val rng     = new scala.util.Random(5L)
+    val vs      = Array.fill(1000000)(1e9 + rng.nextDouble())
+    val maxAt   = vs.indices.maxBy(vs(_))
+    val removed = MomentState.remove(MomentState.of(vs), vs(maxAt))
+    val rebuilt = MomentState.of(vs.patch(maxAt, Nil, 1))
+    assert(removed.m === rebuilt.m)
+    assert(math.abs(removed.mean - rebuilt.mean) <= 1e-15 * math.abs(rebuilt.mean))
+    assert(math.abs(removed.m2 - rebuilt.m2) <= 1e-6 * rebuilt.m2)
+  }
+
   test("Welford is numerically stable for large offsets") {
     val vs = Seq.tabulate(10000)(i => 1e9 + (i % 7).toDouble)
     val s  = MomentState.of(vs)

@@ -28,7 +28,26 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
   }
 
   test("cat column rejects out-of-dict codes") {
-    assertThrows[IllegalArgumentException](CatColumn("g", Array(0, 5), Array("a", "b")))
+    val e = intercept[IllegalArgumentException](CatColumn("g", Array(0, 1, 5, -1), Array("a", "b")))
+    assert(e.getMessage.contains("column g has out-of-dict code 5 at row 2"), e.getMessage)
+    assertThrows[IllegalArgumentException](CatColumn("g", Array(0, -1), Array("a", "b")))
+  }
+
+  test("numeric column rejects NaN and infinities, naming the first bad row") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](NumColumn("v", Array(1.0, 2.0, bad, bad)))
+      assert(e.getMessage.contains(s"column v has non-finite value $bad at row 2"), e.getMessage)
+    }
+  }
+
+  test("a non-finite value never reaches the catalog range") {
+    // The scramble's range is taken from the permuted copy, which is
+    // checked again, so a value written into the array later still fails.
+    val values = Array(1.0, 2.0, 3.0)
+    val s      = new ColumnStore(Map.empty, Map("v" -> NumColumn("v", values)))
+    values(1) = Double.NaN
+    val e = intercept[IllegalArgumentException](Scramble.fromStore(s, 2, 1L))
+    assert(e.getMessage.contains("column v has non-finite value NaN"), e.getMessage)
   }
 
   test("codeOf resolves dictionary values and rejects unknowns") {
@@ -57,6 +76,10 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
     val c = NumColumn("v", Array(3.0, -1.0, 2.0))
     assert(c.min === -1.0)
     assert(c.max === 3.0)
+    // Signed zeros keep the total order: -0.0 < 0.0.
+    val z = NumColumn("z", Array(0.0, -0.0, 0.0))
+    assert(1.0 / z.min === Double.NegativeInfinity)
+    assert(1.0 / z.max === Double.PositiveInfinity)
   }
 
   test("bitmap bit set iff block contains the value (property)") {

@@ -55,6 +55,55 @@ class ScrambleAndPredicateSpec extends AnyFunSuite {
     assertThrows[NoSuchElementException](scr.range("nope"))
   }
 
+  /** The scramble as first written, kept as a reference: a boxed
+    * `Array.tabulate` permutation, Fisher–Yates with `Random(seed)`,
+    * columns gathered with `perm.map`, ranges from `values.min`/`.max`.
+    */
+  private def referenceScramble(base: ColumnStore, seed: Long) = {
+    val n    = base.numRows
+    val perm = Array.tabulate(n)(identity)
+    val rng  = new Random(seed)
+    var i = n - 1
+    while (i > 0) {
+      val j = rng.nextInt(i + 1)
+      val t = perm(i); perm(i) = perm(j); perm(j) = t
+      i -= 1
+    }
+    val codes  = base.cats.map { case (name, c) => name -> perm.map(c.codes) }
+    val values = base.nums.map { case (name, c) => name -> perm.map(c.values) }
+    val ranges = values.map { case (name, v) => name -> (v.min, v.max) }
+    (codes, values, ranges)
+  }
+
+  private def bits(vs: Seq[Double]): Seq[Long] = vs.map(java.lang.Double.doubleToRawLongBits)
+
+  test("scramble equals the reference build exactly: arrays, bitmaps, ranges") {
+    val n    = 1037 // leaves a ragged last block for both block sizes
+    val base = store(n, seed = 3L)
+    for (seed <- Seq(9L, 17L); blockSize <- Seq(25, 10)) {
+      assert(n % blockSize != 0)
+      val scr = Scramble.fromStore(base, blockSize, seed)
+      val (codes, values, ranges) = referenceScramble(base, seed)
+      val numBlocks = (n + blockSize - 1) / blockSize
+      assert(scr.numBlocks === numBlocks)
+      for ((name, expect) <- codes) {
+        assert(scr.store.cat(name).codes.toSeq === expect.toSeq, s"$name seed=$seed")
+        val bm = scr.bitmap(name)
+        for (blk <- 0 until numBlocks; v <- 0 until bm.cardinality) {
+          val present = (blk * blockSize until math.min(n, (blk + 1) * blockSize)).exists(expect(_) == v)
+          assert(bm.contains(v, blk) === present, s"$name v=$v blk=$blk seed=$seed bs=$blockSize")
+        }
+      }
+      for ((name, expect) <- values) {
+        assert(bits(scr.store.num(name).values.toSeq) === bits(expect.toSeq), s"$name seed=$seed")
+        val (a, b) = ranges(name)
+        assert(bits(Seq(scr.range(name)._1, scr.range(name)._2)) === bits(Seq(a, b)), s"$name seed=$seed")
+      }
+      assert(scr.ranges.keySet === ranges.keySet)
+      assert(scr.bitmaps.keySet === codes.keySet)
+    }
+  }
+
   test("block layout covers all rows exactly once") {
     val scr = Scramble.fromStore(store(103), 25, 9L)
     assert(scr.numBlocks === 5)

@@ -135,6 +135,30 @@ class FlightsDataSpec extends SparkSpec {
     assert(math.abs(store.num("DepDelay").values.sum - sparkSum) < 1e-4 * math.abs(sparkSum) + 1e-6)
   }
 
+  test("toStore keeps the row order of collect(), column by column") {
+    // Row order decides the scramble, and the scramble every block count.
+    val fresh = FlightsData.df(spark, sf = 0.005, seed = 7L)
+    val store = FlightsData.toStore(fresh)
+    val rows  = fresh.select("origin_idx", "airline_idx", "DepDelay", "DepTime", "DayOfWeek").collect()
+    def bits(vs: Seq[Double]) = vs.map(java.lang.Double.doubleToRawLongBits)
+    assert(store.numRows === rows.length)
+    assert(store.cat("Origin").codes.toSeq === rows.map(_.getInt(0)).toSeq)
+    assert(store.cat("Airline").codes.toSeq === rows.map(_.getInt(1)).toSeq)
+    assert(bits(store.num("DepDelay").values.toSeq) === bits(rows.map(_.getDouble(2)).toSeq))
+    assert(bits(store.num("DepTime").values.toSeq) === bits(rows.map(_.getInt(3).toDouble).toSeq))
+    assert(store.cat("DayOfWeek").codes.toSeq === rows.map(_.getInt(4) - 1).toSeq)
+  }
+
+  test("toStore rejects nulls and unexpected column types") {
+    val withNull = df.withColumn("DepDelay",
+      when(col("origin_idx") === 3, lit(null).cast("double")).otherwise(col("DepDelay")))
+    val e = intercept[Exception](FlightsData.toStore(withNull))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains("null in flights row")), e.toString)
+    val asLong = df.withColumn("DepTime", col("DepTime").cast("long"))
+    assertThrows[IllegalArgumentException](FlightsData.toStore(asLong))
+  }
+
   test("scramble helper builds a consistent scramble") {
     val scr = FlightsData.scramble(spark, sf = 0.002)
     assert(scr.numRows === (FlightsData.RowsPerSf * 0.002).toLong)
